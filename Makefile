@@ -1,10 +1,13 @@
-.PHONY: test acceptance install
+.PHONY: test acceptance install bench-smoke
 
 install:
 	pip install -e . --no-build-isolation
 
 test:
-	pytest -q
+	PYTHONPATH=src python -m pytest -q
 
 acceptance:
-	pytest tests/test_acceptance.py -v -s
+	PYTHONPATH=src python -m pytest tests/test_acceptance.py -v -s
+
+bench-smoke:
+	python -m pytest bench

@@ -50,7 +50,7 @@ from .sampling import (
     segment_sample,
     subsample_tuples,
 )
-from .streaming import StreamQueue, stream_push
+from .streaming import StreamQueue
 from .training import (
     EvalReport,
     TrainConfig,

@@ -117,7 +117,6 @@ def _plan(cfg: RunConfig) -> SamplingPlan:
         num_frames=cfg.num_frames,
         subsamples=cfg.subsamples,
         mode=cfg.sample_mode,
-        seed=cfg.seed,
     )
 
 

@@ -13,7 +13,8 @@ differences (see :func:`set_default_dtype`).
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO, Iterable, Sequence
+import os
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -194,6 +195,45 @@ def _as_batch(x: np.ndarray, in_dim: int) -> tuple[np.ndarray, bool]:
     raise InputError("input must be a vector or a batch of row vectors")
 
 
+def mlp_activations(m: Mlp, x: np.ndarray) -> list[np.ndarray]:
+    """The batch ``x`` (B, in_dim) followed by every layer's output.
+
+    The last entry is the network output; the list is what
+    :func:`mlp_param_grads` needs, so a backward pass can reuse a forward
+    pass instead of recomputing it.
+    """
+    acts = [x]
+    for layer in m.layers:
+        a = acts[-1] @ layer.weights.T + layer.bias
+        if layer.activation == "relu":
+            a = np.maximum(a, 0.0)
+        acts.append(a)
+    return acts
+
+
+def mlp_param_grads(
+    m: Mlp, activations: Sequence[np.ndarray], upstream: np.ndarray, input_grad: bool = False
+) -> tuple[GradientSet, np.ndarray | None]:
+    """Reverse-mode gradients of <upstream, output> from cached activations.
+
+    Parameter gradients are summed over the batch rows; the gradient with
+    respect to the input rows is computed only when ``input_grad`` is set
+    (None otherwise).
+    """
+    weight_grads: list[np.ndarray] = [None] * len(m.layers)  # type: ignore[list-item]
+    bias_grads: list[np.ndarray] = [None] * len(m.layers)  # type: ignore[list-item]
+    delta = upstream
+    for i in range(len(m.layers) - 1, -1, -1):
+        layer = m.layers[i]
+        if layer.activation == "relu":
+            delta = delta * (activations[i + 1] > 0)
+        weight_grads[i] = delta.T @ activations[i]
+        bias_grads[i] = delta.sum(axis=0)
+        if i or input_grad:
+            delta = delta @ layer.weights
+    return GradientSet(weight_grads, bias_grads), (delta if input_grad else None)
+
+
 def mlp_forward(m: Mlp, x: np.ndarray) -> np.ndarray:
     """Apply the affine+activation chain to ``x``.
 
@@ -202,11 +242,8 @@ def mlp_forward(m: Mlp, x: np.ndarray) -> np.ndarray:
     bit-identical outputs.
     """
     a, squeeze = _as_batch(x, m.in_dim)
-    for layer in m.layers:
-        a = a @ layer.weights.T + layer.bias
-        if layer.activation == "relu":
-            a = np.maximum(a, 0.0)
-    return a[0] if squeeze else a
+    out = mlp_activations(m, a)[-1]
+    return out[0] if squeeze else out
 
 
 def mlp_backward(
@@ -223,28 +260,8 @@ def mlp_backward(
     up, up_squeezed = _as_batch(upstream, m.out_dim)
     if squeeze != up_squeezed or up.shape[0] != a.shape[0]:
         raise InputError("upstream shape does not match forward output shape")
-
-    # Forward pass keeping pre-activations for the ReLU masks.
-    activations = [a]
-    pre_acts = []
-    for layer in m.layers:
-        z = activations[-1] @ layer.weights.T + layer.bias
-        pre_acts.append(z)
-        activations.append(np.maximum(z, 0.0) if layer.activation == "relu" else z)
-
-    weight_grads: list[np.ndarray] = [None] * len(m.layers)  # type: ignore[list-item]
-    bias_grads: list[np.ndarray] = [None] * len(m.layers)  # type: ignore[list-item]
-    delta = up
-    for i in range(len(m.layers) - 1, -1, -1):
-        layer = m.layers[i]
-        if layer.activation == "relu":
-            delta = delta * (pre_acts[i] > 0)
-        weight_grads[i] = delta.T @ activations[i]
-        bias_grads[i] = delta.sum(axis=0)
-        delta = delta @ layer.weights
-
-    grad_x = delta[0] if squeeze else delta
-    return GradientSet(weight_grads, bias_grads), grad_x
+    grads, grad_x = mlp_param_grads(m, mlp_activations(m, a), up, input_grad=True)
+    return grads, grad_x[0] if squeeze else grad_x
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -257,22 +274,30 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Loss and logit gradient for one labeled example.
+def softmax_cross_entropy(logits: np.ndarray, label) -> tuple[float | np.ndarray, np.ndarray]:
+    """Loss and logit gradient for one labeled example or a batch.
 
     loss = -log softmax(logits)[label], computed with max-subtraction so
     large logits do not overflow; grad = softmax(logits) - onehot(label).
+    ``logits`` (C,) with an int ``label`` gives a float loss and a (C,)
+    gradient; ``logits`` (B, C) with ``label`` (B,) gives per-row losses
+    (B,) and a (B, C) gradient.
     """
     logits = np.asarray(logits)
-    if logits.ndim != 1:
-        raise InputError("logits must be a vector")
-    if not 0 <= int(label) < logits.shape[0]:
-        raise InputError(f"label {label} out of range for {logits.shape[0]} classes")
-    shifted = logits - logits.max()
-    log_norm = np.log(np.exp(shifted).sum())
-    loss = float(log_norm - shifted[int(label)])
-    grad = softmax(logits)
-    grad[int(label)] -= 1.0
+    labels = np.asarray(label)
+    if logits.ndim not in (1, 2) or labels.shape != logits.shape[:-1]:
+        raise InputError("logits must be a vector with one label, or rows with one label each")
+    if not ((labels >= 0) & (labels < logits.shape[-1])).all():
+        raise InputError(f"label {label} out of range for {logits.shape[-1]} classes")
+    batch = np.atleast_2d(logits)
+    rows = np.arange(batch.shape[0])
+    cols = labels.reshape(-1).astype(np.intp)
+    shifted = batch - batch.max(axis=1, keepdims=True)
+    loss = np.log(np.exp(shifted).sum(axis=1)) - shifted[rows, cols]
+    grad = softmax(batch)
+    grad[rows, cols] -= 1.0
+    if logits.ndim == 1:
+        return float(loss[0]), grad[0]
     return loss, grad
 
 
@@ -310,16 +335,9 @@ class Sgd:
             v *= self.momentum
             v += g
             updated.append(p - self.learning_rate * v)
+            if not np.isfinite(updated[-1]).all():
+                raise TrainingDivergedError("update overflowed to non-finite parameters")
         return updated
-
-
-def optimizer_step(
-    params: Sequence[np.ndarray],
-    grads: Sequence[np.ndarray],
-    optimizer: Sgd,
-) -> list[np.ndarray]:
-    """Functional alias for :meth:`Sgd.step`."""
-    return optimizer.step(params, grads)
 
 
 # --- checkpoint format -----------------------------------------------------
@@ -343,13 +361,27 @@ def write_mlp_payload(fh: BinaryIO, mlp: Mlp) -> None:
 
 
 class PayloadReader:
-    """Binary reader that reports byte offsets in format errors."""
+    """Binary reader that reports byte offsets in format errors.
+
+    Every read is checked against the bytes left in the file before it is
+    attempted, so a header that declares more data than the file holds
+    fails as truncation instead of as a huge allocation.
+    """
 
     def __init__(self, fh: BinaryIO):
         self.fh = fh
         self.offset = 0
+        start = fh.tell()
+        self.size = fh.seek(0, os.SEEK_END) - start
+        fh.seek(start)
 
     def read_exact(self, count: int, what: str) -> bytes:
+        left = self.size - self.offset
+        if count > left:
+            raise FormatError(
+                f"truncated file while reading {what}: {count} bytes declared, {left} left",
+                offset=self.offset,
+            )
         data = self.fh.read(count)
         if len(data) != count:
             raise FormatError(f"truncated file while reading {what}", offset=self.offset)
@@ -411,8 +443,3 @@ def load_mlp(path) -> Mlp:
         reader.expect_eof()
     return mlp
 
-
-def check_finite(arrays: Iterable[np.ndarray], what: str) -> None:
-    for arr in arrays:
-        if not np.isfinite(arr).all():
-            raise TrainingDivergedError(f"non-finite values in {what}")

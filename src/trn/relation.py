@@ -6,6 +6,12 @@ over the sampled tuple set, and applies a single affine classifier head
 ``h`` to the sum. The multi-scale model keeps one independent relation
 module per scale d in {2..N} and adds the per-scale class scores
 element-wise (fusion happens at the logit level, before softmax).
+
+``relation_forward``/``relation_backward`` run a whole batch: features
+(B, N, D) plus per scale a slot-index array (B, k, d). The ``FrameTuple``
+functions (``multiscale_forward``, ``multiscale_backward``) work on one
+video; ``multiscale_backward`` is the reference the batched gradients are
+tested against, and the only one that returns frame-feature gradients.
 """
 
 from __future__ import annotations
@@ -137,17 +143,42 @@ def _stack_tuples(rm: RelationModule, tuples: Sequence[FrameTuple]) -> np.ndarra
     return np.stack(rows)
 
 
+class TermCache(NamedTuple):
+    """Activations of one relation term over a batch, kept for backward."""
+
+    g_acts: list[np.ndarray]  # tuple rows (B*k, d*D), then each g layer's output
+    h_acts: list[np.ndarray]  # hidden sums (B, H), then each h layer's output
+    g_mask: np.ndarray | None
+
+
+def relation_term(
+    rm: RelationModule, x: np.ndarray, batch: int, g_mask: np.ndarray | None = None
+) -> tuple[np.ndarray, TermCache]:
+    """One relation term for a batch of videos: the shared kernel.
+
+    ``x`` holds k concatenated d-tuples per video, video-major, shape
+    (batch*k, d*feature_dim). g runs once over every row, each video's k
+    rows are summed, and h maps the sums to class scores (batch,
+    num_classes). ``g_mask``, when given, multiplies the g outputs row by
+    row (training dropout). Training, evaluation, streaming and
+    ``multiscale_forward`` all run this kernel, so a stream prediction and
+    ``multiscale_forward`` over the same window agree bit for bit.
+    """
+    g_acts = nn.mlp_activations(rm.g, x)
+    g_out = g_acts[-1] if g_mask is None else g_acts[-1] * g_mask
+    hidden = g_out.reshape(batch, -1, rm.hidden_dim).sum(axis=1)
+    h_acts = nn.mlp_activations(rm.h, hidden)
+    return h_acts[-1], TermCache(g_acts, h_acts, g_mask)
+
+
 def relation_hidden_sum(
     rm: RelationModule,
     tuples: Sequence[FrameTuple],
     g_mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sum of g over the tuple set: the pre-head hidden vector."""
-    stacked = _stack_tuples(rm, tuples)
-    g_out = nn.mlp_forward(rm.g, stacked)
-    if g_mask is not None:
-        g_out = g_out * g_mask
-    return g_out.sum(axis=0)
+    _, cache = relation_term(rm, _stack_tuples(rm, tuples), 1, g_mask)
+    return cache.h_acts[0][0]
 
 
 def relation_term_forward(
@@ -161,7 +192,7 @@ def relation_term_forward(
     outputs (shape: num_tuples x hidden_dim); training uses it for optional
     dropout, inference leaves it None.
     """
-    return nn.mlp_forward(rm.h, relation_hidden_sum(rm, tuples, g_mask))
+    return relation_term(rm, _stack_tuples(rm, tuples), 1, g_mask)[0][0]
 
 
 def _check_scales(trn: "MultiScaleTRN", tuples_by_scale: Mapping[int, Sequence[FrameTuple]]):
@@ -258,6 +289,82 @@ class MultiScaleTRN:
         )
 
 
+class BatchOutput(NamedTuple):
+    """Batched multi-scale logits (B, C), per-scale terms and their caches."""
+
+    logits: np.ndarray
+    per_scale: dict[int, np.ndarray]
+    terms: dict[int, TermCache]
+
+
+def _fuse(per_scale: Mapping[int, np.ndarray]) -> np.ndarray:
+    total = np.zeros_like(per_scale[2])
+    for d in sorted(per_scale):
+        total = total + per_scale[d]
+    return total
+
+
+def gather_tuples(feats: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Tuple rows for a batch: (B*k, d*D) from features (B, N, D) and slot
+    indices (B, k, d), or (k, d) shared by every video."""
+    batch = feats.shape[0]
+    rows = feats[np.arange(batch)[:, None, None], slots]
+    return rows.reshape(-1, rows.shape[-2] * rows.shape[-1])
+
+
+def relation_forward(
+    trn: MultiScaleTRN,
+    feats: np.ndarray,
+    slots: Mapping[int, np.ndarray],
+    g_masks: Mapping[int, np.ndarray] | None = None,
+) -> BatchOutput:
+    """Multi-scale logits for a batch of videos.
+
+    ``feats`` (B, N, D) holds each video's sampled frame features; per
+    scale d, ``slots[d]`` (B, k_d, d) or (k_d, d) picks the tuples as slot
+    positions 0..N-1, and ``g_masks[d]``, when given, is a (B*k_d, H)
+    multiplier on the g outputs.
+    """
+    _check_scales(trn, slots)
+    feats = np.asarray(feats)
+    if feats.ndim != 3 or feats.shape[2] != trn.feature_dim:
+        raise InputError(
+            f"features must be (batch, frames, {trn.feature_dim}), got {feats.shape}"
+        )
+    per_scale: dict[int, np.ndarray] = {}
+    terms: dict[int, TermCache] = {}
+    for d in trn.scales:
+        if slots[d].shape[-1] != d:
+            raise InputError(f"scale {d} slots have arity {slots[d].shape[-1]}")
+        mask = g_masks.get(d) if g_masks is not None else None
+        x = gather_tuples(feats, slots[d])
+        per_scale[d], terms[d] = relation_term(trn.modules[d], x, feats.shape[0], mask)
+    return BatchOutput(_fuse(per_scale), per_scale, terms)
+
+
+def relation_backward(
+    trn: MultiScaleTRN, out: BatchOutput, upstream: np.ndarray
+) -> list[np.ndarray]:
+    """Parameter gradients of <upstream, out.logits>, summed over the batch,
+    in :meth:`MultiScaleTRN.parameters` order.
+
+    Reuses the activations ``relation_forward`` cached, so g runs once per
+    tuple. Frame-feature gradients are not computed; ``multiscale_backward``
+    is the per-video reference that has them.
+    """
+    grads: list[np.ndarray] = []
+    for d in trn.scales:
+        rm = trn.modules[d]
+        g_acts, h_acts, mask = out.terms[d]
+        h_grads, d_hidden = nn.mlp_param_grads(rm.h, h_acts, upstream, input_grad=True)
+        d_gout = np.repeat(d_hidden, g_acts[0].shape[0] // d_hidden.shape[0], axis=0)
+        if mask is not None:
+            d_gout = d_gout * mask
+        g_grads, _ = nn.mlp_param_grads(rm.g, g_acts, d_gout)
+        grads += g_grads.flat() + h_grads.flat()
+    return grads
+
+
 def multiscale_forward(
     trn: MultiScaleTRN,
     tuples_by_scale: Mapping[int, Sequence[FrameTuple]],
@@ -266,17 +373,16 @@ def multiscale_forward(
     """Element-wise sum of the per-scale relation terms.
 
     Every scale 2..N must come with a non-empty tuple set. The per-scale
-    logits are returned alongside their sum for analysis.
+    logits are returned alongside their sum for analysis. This is the
+    one-video ``FrameTuple`` form of :func:`relation_forward`: it runs the
+    same kernel on the stacked tuple features.
     """
     _check_scales(trn, tuples_by_scale)
     per_scale = {}
     for d in trn.scales:
         mask = g_masks.get(d) if g_masks is not None else None
         per_scale[d] = relation_term_forward(trn.modules[d], tuples_by_scale[d], mask)
-    total = np.zeros(trn.num_classes, dtype=per_scale[2].dtype)
-    for d in trn.scales:
-        total = total + per_scale[d]
-    return MultiScaleOutput(total, per_scale)
+    return MultiScaleOutput(_fuse(per_scale), per_scale)
 
 
 def multiscale_backward(

@@ -4,10 +4,15 @@ Training picks one frame per temporal segment (N near-equal contiguous
 segments per video), then per scale d picks k random sorted d-subsets of
 the N sampled slots. A brute-force enumerator over all d-subsets doubles
 as the testing oracle and as the deterministic test-time tuple source.
+
+The per-video functions (``segment_sample``, ``subsample_tuples``) are the
+reference; training and evaluation draw a whole batch at once with
+``segment_sample_batch`` and ``draw_slots``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -34,7 +39,6 @@ class SamplingPlan:
     num_frames: int = 8
     subsamples: int = 3
     mode: str = "random"
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_frames < 2:
@@ -96,6 +100,17 @@ def enumerate_tuples(num_frames: int, d: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(num_frames), d))
 
 
+@functools.lru_cache(maxsize=None)
+def combination_table(num_frames: int, d: int) -> np.ndarray:
+    """``enumerate_tuples(num_frames, d)`` as a read-only (C(N, d), d) array.
+
+    Built once per (N, d); the cache is bounded by ``ENUMERATION_LIMIT``.
+    """
+    table = np.array(enumerate_tuples(num_frames, d), dtype=np.intp)
+    table.flags.writeable = False
+    return table
+
+
 def subsample_tuples(
     frames: Sequence[int],
     d: int,
@@ -137,3 +152,62 @@ def subsample_tuples(
 def tuples_per_video(plan: SamplingPlan) -> int:
     """Total relation tuples one training example produces across scales."""
     return sum(min(plan.subsamples, comb(plan.num_frames, d)) for d in range(2, plan.num_frames + 1))
+
+
+def segment_sample_batch(
+    lengths: Sequence[int],
+    num_segments: int,
+    mode: str,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """``segment_sample`` for a batch of videos: (B, num_segments) indices.
+
+    Row b holds one frame index per segment of a video with ``lengths[b]``
+    frames, with the same segments, center rule and short-video reuse of
+    the nearest earlier index as ``segment_sample``. Random mode draws all
+    rows at once from ``rng``.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or (lengths < 1).any():
+        raise InputError("video lengths must be a vector of values >= 1")
+    if mode not in SAMPLE_MODES:
+        raise InputError(f"mode must be one of {SAMPLE_MODES}, got {mode!r}")
+    if mode == "random" and rng is None:
+        raise InputError("random mode requires a generator")
+    seg = np.arange(num_segments)
+    base, extra = np.divmod(lengths[:, None], num_segments)
+    starts = seg * base + np.minimum(seg, extra)
+    sizes = base + (seg < extra)
+    if mode == "center":
+        picked = starts + sizes // 2
+    else:
+        picked = starts + rng.integers(0, np.maximum(sizes, 1))
+    # an empty segment only follows the last frame, which sits at start - 1
+    return np.where(sizes == 0, starts - 1, picked)
+
+
+def draw_slots(
+    num_frames: int,
+    d: int,
+    k: int,
+    batch: int,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """``subsample_tuples`` over slots 0..N-1 for ``batch`` videos at once.
+
+    Returns (batch, min(k, C(N, d)), d) slot indices: per video, distinct
+    rows of :func:`combination_table` in lexicographic order, chosen
+    uniformly without replacement (the first k of a random permutation of
+    the rows). With k >= C(N, d) every video gets the full table and no
+    random numbers are drawn.
+    """
+    if k < 1:
+        raise InputError("k must be >= 1")
+    table = combination_table(num_frames, d)
+    total = table.shape[0]
+    if k >= total:
+        return np.broadcast_to(table, (batch, total, d))
+    if rng is None:
+        raise InputError("subsampling requires a generator")
+    rows = np.sort(np.argsort(rng.random((batch, total)), axis=1)[:, :k], axis=1)
+    return table[rows]

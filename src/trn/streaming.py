@@ -16,8 +16,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InputError
-from .relation import FrameTuple, MultiScaleTRN, multiscale_forward, predict
-from .sampling import enumerate_tuples
+from .relation import MultiScaleTRN, predict, relation_forward
+from .sampling import combination_table
 
 
 @dataclass
@@ -48,12 +48,9 @@ class StreamQueue:
         self.frames_seen = 0
         self.enqueued = 0
         self._buffer: deque[np.ndarray] = deque(maxlen=self.capacity)
-        self._slot_sets = {}
-        for d in model.scales:
-            combos = enumerate_tuples(self.capacity, d)
-            if tuple_budget is not None:
-                combos = combos[:tuple_budget]
-            self._slot_sets[d] = combos
+        self._slot_sets = {
+            d: combination_table(self.capacity, d)[:tuple_budget] for d in model.scales
+        }
 
     def push(self, feature: np.ndarray) -> StreamPrediction | None:
         """Feed one frame; returns a prediction on full-buffer key frames."""
@@ -69,32 +66,20 @@ class StreamQueue:
         self.enqueued += 1
         if len(self._buffer) < self.capacity:
             return None
-        feats = np.stack(list(self._buffer))
-        tuples = {
-            d: [FrameTuple(c, feats[list(c)]) for c in self._slot_sets[d]]
-            for d in self.model.scales
-        }
-        out = multiscale_forward(self.model, tuples)
-        class_index, probs = predict(out.logits)
+        out = relation_forward(self.model, np.stack(self._buffer)[None], self._slot_sets)
+        logits = out.logits[0]
+        class_index, probs = predict(logits)
         return StreamPrediction(
             class_index=class_index,
             probabilities=probs,
-            logits=out.logits,
-            per_scale_logits=out.per_scale,
+            logits=logits,
+            per_scale_logits={d: v[0] for d, v in out.per_scale.items()},
             frames_seen=self.frames_seen,
         )
 
     def buffered_features(self) -> np.ndarray:
         """Snapshot of the queue contents in arrival order."""
         return np.stack(list(self._buffer)) if self._buffer else np.empty((0, self.model.feature_dim))
-
-
-def stream_push(
-    queue: StreamQueue, model: MultiScaleTRN, feature: np.ndarray
-) -> StreamPrediction | None:
-    if model is not queue.model:
-        raise InputError("queue was built for a different model")
-    return queue.push(feature)
 
 
 def replay_dataset(

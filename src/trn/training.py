@@ -6,28 +6,30 @@ permutation is invisible to it) and a single-frame head (random frame at
 training time, the center frame at evaluation). Training is sequential and
 fully deterministic given (config, seed, dataset); evaluation always uses
 deterministic-center frame sampling.
+
+Both work a batch at a time: one gather of the sampled frame features
+(B, N, D), per scale one slot-index array (B, k, d), then a few GEMMs per
+scale (see :func:`trn.relation.relation_forward`). A single-frame head is
+an average-pool head over one sampled segment, so one loop serves every
+pooling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import nn
-from .data import Dataset, VideoSample
+from .data import Dataset
 from .errors import InputError, TrainingDivergedError
-from .relation import (
-    FrameTuple,
-    MultiScaleTRN,
-    multiscale_backward,
-    multiscale_forward,
-)
-from .sampling import SamplingPlan, segment_sample, subsample_tuples
+from .relation import MultiScaleTRN, relation_backward, relation_forward
+from .sampling import SamplingPlan, draw_slots, segment_sample_batch
 
 POOLINGS = ("temporal-relation", "average-pool", "single-frame")
 FRAME_ORDERS = ("ordered", "shuffled")
+EVAL_BATCH = 256  # videos per evaluation batch; bounds the gathered tuple rows
 
 
 @dataclass(frozen=True)
@@ -100,13 +102,66 @@ def rng_streams(seed: int) -> dict[str, np.random.Generator]:
     return {n: np.random.default_rng(c) for n, c in zip(names, children)}
 
 
-def fetch_features(sample: VideoSample, indices: Sequence[int]) -> np.ndarray:
-    """Gather the sampled frames' features; one call per video per step.
+class FrameBank:
+    """Every video's frames in one array of the model dtype, so the sampled
+    features of a whole batch are one gather.
 
-    Every relation tuple reuses rows of this one gather, which is the whole
-    budget argument: tuples at all scales share the N fetched features.
+    Every relation tuple reuses rows of that gather, which is the budget
+    argument: tuples at all scales share the N fetched features.
     """
-    return sample.frames[list(indices)]
+
+    def __init__(self, dataset: Dataset, dtype):
+        self.lengths = np.array([s.num_frames for s in dataset.samples])
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.labels = dataset.labels()
+        self.frames = np.concatenate([s.frames for s in dataset.samples]).astype(dtype, copy=False)
+
+    def gather(self, videos: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """Features (B, N, D) of frame ``indices[b, i]`` of video ``videos[b]``."""
+        return self.frames[self.starts[videos][:, None] + indices]
+
+    def sample(
+        self,
+        videos: np.ndarray,
+        segments: int,
+        mode: str,
+        sample_rng: np.random.Generator | None = None,
+        shuffle_rng: np.random.Generator | None = None,
+    ) -> np.ndarray:
+        """Segment-sample each video and gather the features; with a
+        ``shuffle_rng`` each video's sampled frames are randomly permuted."""
+        idx = segment_sample_batch(self.lengths[videos], segments, mode, sample_rng)
+        if shuffle_rng is not None:
+            perm = np.argsort(shuffle_rng.random(idx.shape), axis=1)
+            idx = np.take_along_axis(idx, perm, axis=1)
+        return self.gather(videos, idx)
+
+
+def _segments(plan: SamplingPlan, pooling: str) -> int:
+    return 1 if pooling == "single-frame" else plan.num_frames
+
+
+def batch_forward(
+    model,
+    feats: np.ndarray,
+    slots: Mapping[int, np.ndarray] | None = None,
+    g_masks: Mapping[int, np.ndarray] | None = None,
+):
+    """Logits (B, C) for sampled features (B, N, D), plus what
+    :func:`batch_backward` needs: the relation model over ``slots``, or an
+    MLP head over the mean of the N features."""
+    if isinstance(model, MultiScaleTRN):
+        out = relation_forward(model, feats, slots, g_masks)
+        return out.logits, out
+    acts = nn.mlp_activations(model, feats.mean(axis=1))
+    return acts[-1], acts
+
+
+def batch_backward(model, cache, upstream: np.ndarray) -> list[np.ndarray]:
+    """Parameter gradients of <upstream, logits>, summed over the batch."""
+    if isinstance(model, MultiScaleTRN):
+        return relation_backward(model, cache, upstream)
+    return nn.mlp_param_grads(model, cache, upstream)[0].flat()
 
 
 def build_model(
@@ -138,14 +193,6 @@ def _model_dims(model) -> tuple[int, int]:
     return model.in_dim, model.out_dim
 
 
-def _model_params(model) -> list[np.ndarray]:
-    return model.parameters()
-
-
-def _set_model_params(model, params: Sequence[np.ndarray]) -> None:
-    model.set_parameters(params)
-
-
 def _check_model_dataset(model, dataset: Dataset, plan: SamplingPlan, pooling: str) -> None:
     if not len(dataset):
         raise InputError("dataset is empty")
@@ -168,117 +215,68 @@ def _check_model_dataset(model, dataset: Dataset, plan: SamplingPlan, pooling: s
         raise InputError(f"{pooling} pooling needs a plain MLP head")
 
 
-def _relation_tuples(
-    feats: np.ndarray, scales: Iterable[int], k: int, rng: np.random.Generator | None
-) -> dict[int, list[FrameTuple]]:
-    n_slots = feats.shape[0]
-    slots = list(range(n_slots))
-    out = {}
-    for d in scales:
-        out[d] = [
-            FrameTuple(combo, feats[list(combo)])
-            for combo in subsample_tuples(slots, d, k, rng)
-        ]
-    return out
-
-
-def _dropout_masks(
-    tuples_by_scale: Mapping[int, list[FrameTuple]],
-    hidden_dim: int,
-    rate: float,
-    rng: np.random.Generator,
-    dtype,
-) -> dict[int, np.ndarray]:
-    masks = {}
-    for d, tuples in tuples_by_scale.items():
-        keep = rng.random((len(tuples), hidden_dim)) >= rate
-        masks[d] = keep.astype(dtype) / (1.0 - rate)
-    return masks
-
-
-def _forward_backward(model, x: np.ndarray, label: int):
-    logits = nn.mlp_forward(model, x)
-    loss, dlogits = nn.softmax_cross_entropy(logits, label)
-    grads, _ = nn.mlp_backward(model, x, dlogits)
-    return logits, loss, grads.flat()
-
-
 def train(
     model, dataset: Dataset, config: TrainConfig
 ) -> tuple[object, list[EpochStats]]:
     """Train in place; returns the model and per-epoch loss/accuracy.
 
-    Per step: segment-sample each video in the batch, subsample tuples per
-    scale (relation pooling), forward, cross-entropy, backward, one
-    optimizer step on the batch-mean gradient. Shuffled frame order
-    permutes each sampled index set before tuples are formed.
+    Per step, for the whole batch at once: segment-sample every video (one
+    random frame for single-frame), draw k tuple slots per scale and the
+    optional g dropout masks (relation pooling), forward, cross-entropy,
+    backward, and one optimizer step on the batch-mean gradient. Shuffled
+    frame order permutes each sampled index set before tuples are formed.
     """
     _check_model_dataset(model, dataset, config.plan, config.pooling)
     streams = rng_streams(config.seed)
     order_rng = streams["order"]
     sample_rng = streams["sample"]
-    shuffle_rng = streams["shuffle"]
+    shuffle_rng = streams["shuffle"] if config.frame_order == "shuffled" else None
     dropout_rng = streams["dropout"]
 
     optimizer = nn.Sgd(config.learning_rate, config.momentum)
-    params = _model_params(model)
+    params = model.parameters()
     dtype = params[0].dtype
-    scales = model.scales if isinstance(model, MultiScaleTRN) else ()
+    bank = FrameBank(dataset, dtype)
+    relational = isinstance(model, MultiScaleTRN)
+    plan = config.plan
+    segments = _segments(plan, config.pooling)
+    mode = "random" if config.pooling == "single-frame" else plan.mode
+    rate = config.g_dropout
     history: list[EpochStats] = []
     step = 0
     for epoch in range(config.epochs):
         order = order_rng.permutation(len(dataset))
-        losses = []
+        loss_sum = 0.0
         correct = 0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            batch_grads: list[np.ndarray] | None = None
             step += 1
-            for sample_idx in batch:
-                sample = dataset.samples[int(sample_idx)]
-                if config.pooling == "single-frame":
-                    pos = int(sample_rng.integers(sample.num_frames))
-                    feats = fetch_features(sample, [pos]).astype(dtype)
-                    logits, loss, flat = _forward_backward(model, feats[0], sample.label)
-                else:
-                    idx = segment_sample(sample.num_frames, config.plan, sample_rng)
-                    feats = fetch_features(sample, idx).astype(dtype)
-                    if config.frame_order == "shuffled":
-                        feats = feats[shuffle_rng.permutation(feats.shape[0])]
-                    if config.pooling == "average-pool":
-                        logits, loss, flat = _forward_backward(
-                            model, feats.mean(axis=0), sample.label
-                        )
-                    else:
-                        tuples = _relation_tuples(
-                            feats, scales, config.plan.subsamples, sample_rng
-                        )
-                        masks = None
-                        if config.g_dropout > 0:
-                            masks = _dropout_masks(
-                                tuples, model.hidden_dim, config.g_dropout, dropout_rng, dtype
-                            )
-                        out = multiscale_forward(model, tuples, masks)
-                        logits = out.logits
-                        loss, dlogits = nn.softmax_cross_entropy(logits, sample.label)
-                        flat = multiscale_backward(model, tuples, dlogits, masks).flat()
-                if not np.isfinite(loss):
-                    raise TrainingDivergedError("non-finite training loss", step=step)
-                losses.append(loss)
-                correct += int(np.argmax(logits)) == sample.label
-                if batch_grads is None:
-                    batch_grads = [g.copy() for g in flat]
-                else:
-                    for acc, g in zip(batch_grads, flat):
-                        acc += g
-            assert batch_grads is not None
-            scale = 1.0 / len(batch)
-            for g in batch_grads:
-                g *= scale
-            params = optimizer.step(params, batch_grads)
-            _set_model_params(model, params)
+            feats = bank.sample(batch, segments, mode, sample_rng, shuffle_rng)
+            slots = masks = None
+            if relational:
+                slots = {
+                    d: draw_slots(plan.num_frames, d, plan.subsamples, len(batch), sample_rng)
+                    for d in model.scales
+                }
+                if rate > 0:
+                    masks = {
+                        d: (dropout_rng.random((len(batch) * s.shape[1], model.hidden_dim)) >= rate)
+                        .astype(dtype)
+                        / (1.0 - rate)
+                        for d, s in slots.items()
+                    }
+            logits, cache = batch_forward(model, feats, slots, masks)
+            labels = bank.labels[batch]
+            losses, dlogits = nn.softmax_cross_entropy(logits, labels)
+            if not np.isfinite(losses).all():
+                raise TrainingDivergedError("non-finite training loss", step=step)
+            loss_sum += float(losses.sum())
+            correct += int((np.argmax(logits, axis=1) == labels).sum())
+            grads = batch_backward(model, cache, dlogits / len(batch))
+            params = optimizer.step(params, grads)
+            model.set_parameters(params)
         history.append(
-            EpochStats(epoch=epoch, loss=float(np.mean(losses)), accuracy=correct / len(order))
+            EpochStats(epoch=epoch, loss=loss_sum / len(order), accuracy=correct / len(order))
         )
     return model, history
 
@@ -299,48 +297,36 @@ def evaluate(
     feeds the mean of the sampled features to the head; single-frame uses
     the video's center frame only. Shuffled frame order permutes each
     sampled feature set with a generator seeded by ``shuffle_seed``.
+    Videos run in batches of ``EVAL_BATCH``.
     """
     if pooling not in POOLINGS:
         raise InputError(f"pooling must be one of {POOLINGS}, got {pooling!r}")
     if frame_order not in FRAME_ORDERS:
         raise InputError(f"frame_order must be one of {FRAME_ORDERS}")
     _check_model_dataset(model, dataset, plan, pooling)
-    center_plan = replace(plan, mode="center")
     _, num_classes = _model_dims(model)
-    dtype = _model_params(model)[0].dtype
+    bank = FrameBank(dataset, model.parameters()[0].dtype)
+    segments = _segments(plan, pooling)
 
-    slot_sets: dict[int, list[tuple[int, ...]]] = {}
+    slots = None
     if pooling == "temporal-relation":
         tuple_rng = np.random.default_rng(tuple_seed)
-        slots = list(range(plan.num_frames))
-        for d in model.scales:
-            slot_sets[d] = subsample_tuples(slots, d, plan.subsamples, tuple_rng)
+        slots = {
+            d: draw_slots(plan.num_frames, d, plan.subsamples, 1, tuple_rng) for d in model.scales
+        }
 
-    shuffle_rng = np.random.default_rng(shuffle_seed)
+    shuffle_rng = np.random.default_rng(shuffle_seed) if frame_order == "shuffled" else None
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
     top5_hits = 0
-    for sample in dataset.samples:
-        if pooling == "single-frame":
-            x = fetch_features(sample, [sample.num_frames // 2]).astype(dtype)[0]
-            logits = nn.mlp_forward(model, x)
-        else:
-            idx = segment_sample(sample.num_frames, center_plan)
-            feats = fetch_features(sample, idx).astype(dtype)
-            if frame_order == "shuffled":
-                feats = feats[shuffle_rng.permutation(feats.shape[0])]
-            if pooling == "average-pool":
-                logits = nn.mlp_forward(model, feats.mean(axis=0))
-            else:
-                tuples = {
-                    d: [FrameTuple(c, feats[list(c)]) for c in slot_sets[d]]
-                    for d in model.scales
-                }
-                logits = multiscale_forward(model, tuples).logits
-        pred = int(np.argmax(logits))
-        confusion[sample.label, pred] += 1
+    for start in range(0, len(dataset), EVAL_BATCH):
+        videos = np.arange(start, min(start + EVAL_BATCH, len(dataset)))
+        feats = bank.sample(videos, segments, "center", shuffle_rng=shuffle_rng)
+        logits, _ = batch_forward(model, feats, slots)
+        labels = bank.labels[videos]
+        np.add.at(confusion, (labels, np.argmax(logits, axis=1)), 1)
         if num_classes > 5:
-            ranked = np.argsort(-logits, kind="stable")[:5]
-            top5_hits += sample.label in ranked
+            ranked = np.argsort(-logits, axis=1, kind="stable")[:, :5]
+            top5_hits += int((ranked == labels[:, None]).any(axis=1).sum())
     total = confusion.sum()
     counts = confusion.sum(axis=1)
     per_class = np.zeros(num_classes, dtype=np.float64)

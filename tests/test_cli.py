@@ -1,10 +1,13 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
+from trn import nn
 from trn.cli import main
 from trn.data import read_features
+from trn.training import TrainConfig, build_model
 
 
 def run(*argv):
@@ -93,6 +96,25 @@ class TestUsage:
             "--out-dir", str(tmp_path / "out"),
         )
         assert code == 2
+
+    def test_oversized_headers_exit_two(self, tmp_path, capsys):
+        data = gen_small(tmp_path)
+        huge_model = tmp_path / "huge.trnw"
+        huge_model.write_bytes(b"TRNW" + struct.pack("<IIIII", 1, 1, 2**32 - 1, 2**32 - 1, 0))
+        head = tmp_path / "head.trnw"
+        nn.save_mlp(head, build_model(16, 8, TrainConfig(pooling="average-pool"), hidden_dim=4))
+        huge_data = tmp_path / "huge.trnf"
+        huge_data.write_bytes(b"TRNF" + struct.pack("<IIIII", 1, 1, 0, 65535, 65535))
+        for model, features in ((huge_model, data / "val.trnf"), (head, huge_data)):
+            code = run(
+                "eval",
+                "--model", str(model),
+                "--data", str(features),
+                "--out-dir", str(tmp_path / "out"),
+                "--pooling", "average-pool",
+            )
+            assert code == 2
+            assert "byte offset 24" in capsys.readouterr().err
 
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"

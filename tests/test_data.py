@@ -1,3 +1,4 @@
+import struct
 from collections import Counter
 
 import numpy as np
@@ -207,6 +208,15 @@ class TestFeatureFiles:
         bad.write_bytes(bytes(raw))
         with pytest.raises(FormatError) as err:
             read_features(bad)
+        assert "truncated" in str(err.value)
+
+    def test_oversized_frame_header_is_format_error(self, tmp_path):
+        # one sample claiming 65535 x 65535 frames (17 GB) in a 24-byte file
+        path = tmp_path / "huge.trnf"
+        path.write_bytes(b"TRNF" + struct.pack("<IIIII", 1, 1, 0, 65535, 65535))
+        with pytest.raises(FormatError) as err:
+            read_features(path)
+        assert err.value.offset == 24
         assert "truncated" in str(err.value)
 
     def test_truncated_payload_reports_offset(self, tmp_path):

@@ -1,3 +1,6 @@
+import io
+import struct
+
 import numpy as np
 import pytest
 
@@ -235,6 +238,13 @@ class TestOptimizer:
         with pytest.raises(InputError):
             nn.Sgd(0.1).step([np.zeros(2)], [np.zeros(3)])
 
+    def test_overflowing_update_raises_divergence(self):
+        # finite gradients can still push a parameter past the float range
+        params = [np.ones(2, dtype=np.float32)]
+        grads = [np.full(2, 1e30, dtype=np.float32)]
+        with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError):
+            nn.Sgd(1e30).step(params, grads)
+
 
 class TestConstruction:
     def test_layer_dim_consistency_enforced(self):
@@ -290,6 +300,31 @@ class TestCheckpoint:
         with pytest.raises(FormatError) as err:
             nn.load_mlp(path)
         assert err.value.offset == 0
+
+    def test_oversized_layer_header_is_format_error(self, tmp_path):
+        # 0xFFFFFFFF x 0xFFFFFFFF weights: the weight block would start at
+        # byte 24 (magic, version, layer count, in_dim, out_dim, activation)
+        path = tmp_path / "huge.trnw"
+        path.write_bytes(
+            nn.WEIGHTS_MAGIC + struct.pack("<IIIII", nn.CHECKPOINT_VERSION, 1, 2**32 - 1, 2**32 - 1, 0)
+        )
+        with pytest.raises(FormatError) as err:
+            nn.load_mlp(path)
+        assert err.value.offset == 24
+        assert "truncated" in str(err.value)
+
+    def test_reader_never_requests_more_than_the_file_holds(self):
+        payload = struct.pack("<IIII", 1, 2**32 - 1, 2**32 - 1, 0)
+        requests = []
+
+        class Recording(io.BytesIO):
+            def read(self, size=-1):
+                requests.append(size)
+                return super().read(size)
+
+        with pytest.raises(FormatError):
+            nn.read_mlp_payload(nn.PayloadReader(Recording(payload)))
+        assert max(requests) <= len(payload)
 
     def test_truncated_file_reports_offset(self, tmp_path):
         rng = np.random.default_rng(22)

@@ -4,7 +4,7 @@ import pytest
 from trn.errors import InputError
 from trn.relation import FrameTuple, MultiScaleTRN, multiscale_forward
 from trn.sampling import enumerate_tuples
-from trn.streaming import StreamQueue, replay_dataset, stream_push
+from trn.streaming import StreamQueue, replay_dataset
 from trn.data import Dataset, VideoSample
 
 
@@ -118,13 +118,6 @@ class TestQueueBookkeeping:
         buffered = q.buffered_features()
         np.testing.assert_array_equal(buffered[0], b)
         np.testing.assert_array_equal(buffered[1], c)
-
-    def test_stream_push_validates_model_identity(self):
-        model = make_model()
-        other = make_model(seed=9)
-        q = StreamQueue(model)
-        with pytest.raises(InputError):
-            stream_push(q, other, np.zeros(5))
 
 
 class TestReplay:

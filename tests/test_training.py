@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import trn.training as training_mod
 from trn import nn
 from trn.data import Dataset, VideoSample, generate_dataset, order_critical_spec
 from trn.errors import InputError, TrainingDivergedError
@@ -52,13 +53,16 @@ class TestTrain:
             np.testing.assert_array_equal(a, b)
 
     def test_overfits_ten_samples(self):
+        # center sampling fixes each video's frames, so the last epoch's
+        # accuracy measures memorization; under random frame sampling it
+        # is 1.0 for only about half of all training seeds
         bundle = generate_dataset(order_critical_spec(), seed=5, counts={"train": 10})
         ds = bundle["train"]
         cfg = tiny_config(
             epochs=200,
             batch_size=10,
             learning_rate=0.08,
-            plan=SamplingPlan(num_frames=5, subsamples=3, mode="random"),
+            plan=SamplingPlan(num_frames=5, subsamples=3, mode="center"),
         )
         model, history = fit(ds, cfg, hidden_dim=32)
         assert history[-1].accuracy == 1.0
@@ -116,37 +120,36 @@ class TestTrain:
 
 class TestBudgetProperty:
     def test_one_example_touches_n_features_and_nineteen_tuples(self, monkeypatch):
-        # plan (N=8, k=3): one training example fetches exactly 8 frame
-        # features once and forms 3*(8-2)+1 = 19 relation tuples
+        # plan (N=8, k=3): one training example gathers exactly 8 frame
+        # features once and forms 3*(8-2)+1 = 19 relation tuples, all of
+        # them slot rows into that one gather
         ds = tiny_dataset(count=1, n=40)
         plan = SamplingPlan(num_frames=8, subsamples=3, mode="random")
         cfg = tiny_config(epochs=1, batch_size=1, plan=plan)
         model = build_model(ds.feature_dim, 4, cfg, hidden_dim=8)
 
-        fetches = []
-        import trn.training as training_mod
+        gathers = []
+        real_gather = training_mod.FrameBank.gather
 
-        real_fetch = training_mod.fetch_features
+        def counting_gather(bank, videos, indices):
+            gathers.append(np.shape(indices))
+            return real_gather(bank, videos, indices)
 
-        def counting_fetch(sample, indices):
-            fetches.append(list(indices))
-            return real_fetch(sample, indices)
+        monkeypatch.setattr(training_mod.FrameBank, "gather", counting_gather)
 
-        monkeypatch.setattr(training_mod, "fetch_features", counting_fetch)
+        slot_rows = []
+        real_forward = training_mod.relation_forward
 
-        tuple_counts = []
-        real_forward = training_mod.multiscale_forward
+        def counting_forward(model_, feats, slots, masks=None):
+            assert all(s.max() < feats.shape[1] for s in slots.values())
+            slot_rows.append(sum(s.shape[1] for s in slots.values()))
+            return real_forward(model_, feats, slots, masks)
 
-        def counting_forward(model_, tuples, masks=None):
-            tuple_counts.append(sum(len(ts) for ts in tuples.values()))
-            return real_forward(model_, tuples, masks)
-
-        monkeypatch.setattr(training_mod, "multiscale_forward", counting_forward)
+        monkeypatch.setattr(training_mod, "relation_forward", counting_forward)
 
         train(model, ds, cfg)
-        assert len(fetches) == 1
-        assert len(fetches[0]) == 8
-        assert tuple_counts == [19]
+        assert gathers == [(1, 8)]
+        assert slot_rows == [19]
 
 
 class TestEvaluate:
